@@ -68,7 +68,14 @@ namespace sor::bench {
 // src/serve/: sustained lookups/sec and lookup-latency quantiles under
 // concurrent epoch churn, torn-answer and byte-identity audit results,
 // snapshot publish + demand-ingestion counters). E17 requires it.
-inline constexpr int kArtifactSchemaVersion = 8;
+// v9: one metric registry with three kinds (counter, gauge, sketch). The
+// "telemetry" block drops "histograms"; the sampler's per-pair counts and
+// the packet simulator's queue depths are sketches under
+// "health.sketches". Windowed gauges quality/regret and
+// quality/predictor_mape are now quality/last_regret and
+// quality/last_predictor_mape, and the engine/congestion window is the
+// windowed engine/last_congestion gauge (the sketches keep their names).
+inline constexpr int kArtifactSchemaVersion = 9;
 
 namespace detail {
 // Captured at static initialization — close enough to process start for

@@ -2,7 +2,7 @@
 // EXPERIMENTS.md. Exits 0 if the document parses and every required key
 // has the right shape; prints the first violation and exits 1 otherwise.
 // Artifacts stamped with a schema_version NEWER than this checker knows
-// (> 8) exit with the dedicated code 3: "rebuild the checker", not "the
+// (> 9) exit with the dedicated code 3: "rebuild the checker", not "the
 // artifact is broken". Usage errors exit 2.
 //
 // Usage: check_bench_json <path/to/BENCH_E1.json>
@@ -39,7 +39,7 @@ using sor::telemetry::JsonValue;
 
 /// Highest schema_version this checker understands; keep in lockstep with
 /// bench_common.hpp's kArtifactSchemaVersion.
-constexpr int kMaxKnownSchemaVersion = 8;
+constexpr int kMaxKnownSchemaVersion = 9;
 /// Exit code for artifacts from a NEWER schema than this build knows.
 /// Distinct from 1 (schema violation) and 2 (usage) so fixtures and CI
 /// can tell "stale checker" apart from "broken artifact".
@@ -750,6 +750,7 @@ int main(int argc, char** argv) {
   const bool has_provenance_block = doc.at("schema_version").as_number() >= 6;
   const bool has_quality_block = doc.at("schema_version").as_number() >= 7;
   const bool has_serving_block = doc.at("schema_version").as_number() >= 8;
+  const bool has_histograms = doc.at("schema_version").as_number() <= 8;
   require(has_cache_block || !require_cache_hits,
           "--require-cache-hits needs a schema v4+ artifact");
   check_member(doc, "experiment", JsonValue::Kind::kString, "string");
@@ -780,7 +781,13 @@ int main(int argc, char** argv) {
   const JsonValue& telemetry = doc.at("telemetry");
   check_member(telemetry, "counters", JsonValue::Kind::kObject, "object");
   check_member(telemetry, "gauges", JsonValue::Kind::kObject, "object");
-  check_member(telemetry, "histograms", JsonValue::Kind::kObject, "object");
+  if (has_histograms) {
+    check_member(telemetry, "histograms", JsonValue::Kind::kObject, "object");
+  } else {
+    // v9 folded the fixed-bucket histograms into health sketches.
+    require(!telemetry.has("histograms"),
+            "schema v9+ artifact carries telemetry/histograms");
+  }
 
   check_member(doc, "spans", JsonValue::Kind::kArray, "array");
   const JsonValue& spans = doc.at("spans");

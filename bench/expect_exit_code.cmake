@@ -11,7 +11,10 @@
 #         -P expect_exit_code.cmake
 #
 # ARTIFACT is the original single-argument form; ARGS is a CMake list of
-# arbitrary arguments (escape the semicolons in add_test: "-DARGS=a\;b").
+# arbitrary arguments. In add_test, keep the list in one quoted argument
+# with plain semicolons ("-DARGS=a;b"): an escaped "\;" survives into the
+# value and the checker receives "a;b" as a single argument.
+# An optional -DEXPECTED_OUTPUT=<regex> must also match stdout + stderr.
 
 if(NOT DEFINED CHECKER OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR
@@ -35,4 +38,9 @@ if(NOT result EQUAL ${EXPECTED})
   message(FATAL_ERROR
     "expected exit ${EXPECTED} from ${CHECKER} ${ARGS}, got "
     "'${result}'\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+if(DEFINED EXPECTED_OUTPUT AND NOT "${out}${err}" MATCHES "${EXPECTED_OUTPUT}")
+  message(FATAL_ERROR
+    "output of ${CHECKER} ${ARGS} does not match '${EXPECTED_OUTPUT}'"
+    "\nstdout:\n${out}\nstderr:\n${err}")
 endif()

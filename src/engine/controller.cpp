@@ -332,11 +332,11 @@ EpochReport EpochController::step(std::span<const Event> events,
   // that produced them, so their sketches never see sentinel values.
   if (report.quality.shadow_sampled) {
     SOR_SKETCH("quality/regret").observe(report.quality.regret);
-    SOR_WINDOW_GAUGE("quality/regret").set(report.quality.regret);
+    SOR_WINDOW_GAUGE("quality/last_regret").set(report.quality.regret);
   }
   if (report.quality.predictor_mape >= 0) {
     SOR_SKETCH("quality/predictor_mape").observe(report.quality.predictor_mape);
-    SOR_WINDOW_GAUGE("quality/predictor_mape")
+    SOR_WINDOW_GAUGE("quality/last_predictor_mape")
         .set(report.quality.predictor_mape);
   }
   SOR_RATE("quality/mask_churn").add(report.quality.mask_churn);
@@ -344,8 +344,7 @@ EpochReport EpochController::step(std::span<const Event> events,
   SOR_WINDOW_GAUGE("quality/weight_l1_drift")
       .set(report.quality.weight_l1_drift);
 
-  SOR_GAUGE("engine/last_congestion").set(report.congestion);
-  SOR_COUNTER("engine/epochs").add();
+  SOR_WINDOW_GAUGE("engine/last_congestion").set(report.congestion);
   telemetry::Recorder::global().record(
       "engine/epoch",
       {{"epoch", static_cast<std::uint64_t>(report.epoch)},
@@ -363,7 +362,6 @@ EpochReport EpochController::step(std::span<const Event> events,
   // and watermark are too; the latency figures are wall clock and stay
   // out of the replay digest.
   SOR_SKETCH("engine/congestion").observe(report.congestion);
-  SOR_WINDOW_GAUGE("engine/congestion").set(report.congestion);
   SOR_RATE("engine/epochs").add();
   SOR_RATE("engine/churn").add(report.repair.churn());
   // Peak RSS at the epoch boundary: set before the roll so the windowed
@@ -372,7 +370,7 @@ EpochReport EpochController::step(std::span<const Event> events,
   const telemetry::MemoryUsage memory = telemetry::sample_memory_usage();
   SOR_WINDOW_GAUGE("engine/peak_rss_bytes")
       .set(static_cast<double>(memory.peak_rss_bytes));
-  telemetry::HealthRegistry::global().roll_epoch(report.epoch);
+  telemetry::Registry::global().roll_epoch(report.epoch);
 
   congestion_watermark_ = std::max(congestion_watermark_, report.congestion);
   const StatsSummary solve_summary = solve_sketch_.summary();

@@ -6,7 +6,6 @@
 #include <map>
 
 #include "graph/search.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"

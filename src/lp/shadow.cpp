@@ -3,8 +3,8 @@
 #include <optional>
 
 #include "flow/mcf.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sor {

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "telemetry/memory.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"

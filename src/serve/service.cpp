@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
@@ -34,7 +33,6 @@ RouteService::Answer RouteService::lookup(Vertex s, Vertex t) const {
 
   Answer answer;
   answer.snapshot = cache.guard;
-  lookups_.fetch_add(1, std::memory_order_relaxed);
   SOR_RATE("serve/lookups").add();
   if (answer.snapshot != nullptr) {
     answer.result = answer.snapshot->lookup(s, t);

@@ -79,9 +79,6 @@ class RouteService {
   std::uint64_t publishes() const {
     return publishes_.load(std::memory_order_relaxed);
   }
-  std::uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
   /// Lookups answered before any publish or for an unknown pair.
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
@@ -108,7 +105,6 @@ class RouteService {
   std::shared_ptr<const RouteSnapshot> current_;
   std::atomic<const RouteSnapshot*> current_raw_{nullptr};
   std::atomic<std::uint64_t> publishes_{0};
-  mutable std::atomic<std::uint64_t> lookups_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> updates_enqueued_{0};
   std::atomic<std::uint64_t> updates_drained_{0};

@@ -220,8 +220,15 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      SOR_CHECK_MSG(depth_ < JsonValue::kMaxParseDepth,
+                    "json nesting deeper than " << JsonValue::kMaxParseDepth
+                                                << " at position " << pos_);
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (consume_literal("true")) return JsonValue(true);
     if (consume_literal("false")) return JsonValue(false);
@@ -353,6 +360,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -62,8 +62,14 @@ class JsonValue {
   std::string dump(int indent = 0) const;
 
   /// Parses a complete JSON document (trailing non-space rejected).
-  /// Throws CheckError with position info on malformed input.
+  /// Throws CheckError with position info on malformed input, including
+  /// arrays/objects nested deeper than kMaxParseDepth.
   static JsonValue parse(std::string_view text);
+
+  /// Nesting bound of parse(): the parser recurses once per level, so an
+  /// unbounded depth lets one hostile line exhaust the stack. Artifacts
+  /// written by the benches nest about 10 levels deep.
+  static constexpr std::size_t kMaxParseDepth = 256;
 
  private:
   explicit JsonValue(Kind kind) : kind_(kind) {}

@@ -1,7 +1,8 @@
 #pragma once
 
-// Mergeable log-bucketed value sketch (HDR-histogram style) for latency
-// and congestion tails.
+// Mergeable log-bucketed value sketch (HDR-histogram style): the one
+// distribution type of the telemetry registry, for latency and congestion
+// tails as well as small per-item counts (paths per pair, queue depths).
 //
 // Bucket boundaries are FIXED, derived from the raw IEEE-754 bits of the
 // observed value: the unbiased exponent selects an octave and the top

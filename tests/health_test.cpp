@@ -1,9 +1,10 @@
 // Runtime health layer tests: quantile-sketch bucketing and quantiles,
-// the SOR_TELEMETRY kill switch over the HealthRegistry (no recording
-// when disabled), merge determinism of sharded sketches across thread
-// pool sizes (the PR 5 determinism contract extended to telemetry), SLO
-// tracker breach side effects (registry + flight recorder), offline
-// artifact SLO evaluation, and the Prometheus exposition format. The
+// epoch windows of SOR_RATE / SOR_WINDOW_GAUGE metrics, the SOR_TELEMETRY
+// kill switch over the registry (no recording when disabled), merge
+// determinism of sharded sketches across thread pool sizes (the routing
+// determinism contract extended to telemetry), SLO tracker breach side
+// effects (registry + flight recorder), offline artifact SLO
+// evaluation, and the Prometheus exposition format. The
 // concurrent-interning stress runs under SOR_SANITIZE=thread like every
 // other test.
 
@@ -14,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,10 +41,10 @@ struct ScopedEnable {
   bool previous;
 };
 
-/// Zeroes the process-wide health state so tests do not observe each
-/// other's metrics.
+/// Zeroes the process-wide registry so tests do not observe each other's
+/// metrics.
 void reset_health() {
-  telemetry::HealthRegistry::global().reset();
+  telemetry::Registry::global().reset();
   telemetry::Recorder::global().clear();
 }
 
@@ -115,21 +118,20 @@ TEST(Sketch, KillSwitchMakesObserveANoop) {
   EXPECT_EQ(sketch.snapshot().buckets.size(), 0u);
 }
 
-// Satellite 2: under SOR_TELEMETRY=off nothing in the health registry
-// records — rates, gauges, sketches, epoch rolls, and breach recording
-// are all no-ops (and the hot path takes no locks: the guard is the
-// same relaxed atomic-bool load the telemetry registry uses).
-TEST(HealthRegistry, KillSwitchDisablesAllRecording) {
+// Under SOR_TELEMETRY=off nothing in the registry records — rates,
+// gauges, sketches, epoch rolls, and breach recording are all no-ops (and
+// the hot path takes no locks: the guard is a relaxed atomic-bool load).
+TEST(WindowedMetrics, KillSwitchDisablesAllRecording) {
   reset_health();
   const ScopedEnable disable(false);
-  auto& registry = telemetry::HealthRegistry::global();
+  auto& registry = telemetry::Registry::global();
   registry.rate("test/off_rate").add(7);
   registry.window_gauge("test/off_gauge").set(3.5);
   registry.sketch("test/off_sketch").observe(1.0);
   registry.roll_epoch(0);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
-  EXPECT_EQ(registry.rate("test/off_rate").total(), 0u);
+  EXPECT_EQ(registry.rate("test/off_rate").value(), 0u);
   EXPECT_DOUBLE_EQ(registry.window_gauge("test/off_gauge").value(), 0.0);
   EXPECT_EQ(registry.sketch("test/off_sketch").count(), 0u);
   EXPECT_EQ(registry.epochs_rolled(), 0u);
@@ -137,10 +139,10 @@ TEST(HealthRegistry, KillSwitchDisablesAllRecording) {
   EXPECT_EQ(registry.health_status(), 0);
 }
 
-TEST(HealthRegistry, RollEpochClosesRateDeltasAndGaugeValues) {
+TEST(WindowedMetrics, RollEpochClosesRateDeltasAndGaugeValues) {
   reset_health();
   const ScopedEnable enable;
-  auto& registry = telemetry::HealthRegistry::global();
+  auto& registry = telemetry::Registry::global();
   auto& rate = registry.rate("test/window_rate");
   auto& gauge = registry.window_gauge("test/window_gauge");
 
@@ -166,6 +168,38 @@ TEST(HealthRegistry, RollEpochClosesRateDeltasAndGaugeValues) {
     EXPECT_DOUBLE_EQ(window[1].value, 2.5);
   }
   EXPECT_EQ(registry.epochs_rolled(), 2u);
+}
+
+// Windowing is opt-in per metric: a counter or gauge interned only via
+// SOR_COUNTER / SOR_GAUGE keeps no window ring, and interning the same
+// name via SOR_RATE later windows that one metric (no second copy).
+TEST(WindowedMetrics, OnlyRateAndWindowGaugeInternsKeepAWindow) {
+  reset_health();
+  const ScopedEnable enable;
+  auto& registry = telemetry::Registry::global();
+  registry.counter("test/plain_counter").add(2);
+  registry.gauge("test/plain_gauge").set(4.0);
+  registry.counter("test/late_rate").add(1);
+  auto& late = registry.rate("test/late_rate");
+  EXPECT_EQ(&late, &registry.counter("test/late_rate"));
+  late.add(2);
+  registry.roll_epoch(0);
+
+  const auto has = [](const auto& windows, const std::string& name) {
+    for (const auto& [n, window] : windows) {
+      if (n == name) return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(has(registry.rate_windows(), "test/plain_counter"));
+  EXPECT_FALSE(has(registry.gauge_windows(), "test/plain_gauge"));
+  for (const auto& [name, window] : registry.rate_windows()) {
+    if (name != "test/late_rate") continue;
+    ASSERT_EQ(window.size(), 1u);
+    EXPECT_DOUBLE_EQ(window[0].value, 3.0);  // counts since the last roll
+  }
+  EXPECT_TRUE(has(registry.rate_windows(), "test/late_rate"));
+  reset_health();
 }
 
 // Satellite 3: a sharded observation stream merges to byte-identical
@@ -248,19 +282,21 @@ TEST(Sketch, ConcurrentObservationMatchesSequential) {
 // Concurrent interning + recording from many threads; run under
 // SOR_SANITIZE=thread this is the registry's data-race check
 // (satellite 5).
-TEST(HealthRegistry, ConcurrentInterningAndRecordingIsSafe) {
+TEST(WindowedMetrics, ConcurrentInterningAndRecordingIsSafe) {
   reset_health();
   const ScopedEnable enable;
   constexpr std::size_t kN = 4000;
   parallel_for(kN, [&](std::size_t i) {
-    auto& registry = telemetry::HealthRegistry::global();
-    // A handful of names, interned repeatedly from every thread.
-    const std::string name = "stress/metric" + std::to_string(i % 7);
-    registry.rate(name).add();
-    registry.window_gauge(name).set(static_cast<double>(i));
-    registry.sketch(name).observe(static_cast<double>(i % 100 + 1));
+    auto& registry = telemetry::Registry::global();
+    // A handful of names per kind, interned repeatedly from every thread.
+    const std::string suffix = std::to_string(i % 7);
+    registry.rate("stress/rate" + suffix).add();
+    registry.window_gauge("stress/gauge" + suffix)
+        .set(static_cast<double>(i));
+    registry.sketch("stress/sketch" + suffix)
+        .observe(static_cast<double>(i % 100 + 1));
   });
-  auto& registry = telemetry::HealthRegistry::global();
+  auto& registry = telemetry::Registry::global();
   std::uint64_t total = 0;
   registry.roll_epoch(0);
   for (const auto& [name, window] : registry.rate_windows()) {
@@ -368,8 +404,8 @@ TEST(Slo, TrackerRecordsBreachesToRegistryAndFlightRecorder) {
   ASSERT_EQ(breaches.size(), 3u);
   EXPECT_EQ(tracker.status(), 1);
   EXPECT_EQ(tracker.total_breaches(), 3u);
-  EXPECT_EQ(telemetry::HealthRegistry::global().health_status(), 1);
-  EXPECT_EQ(telemetry::HealthRegistry::global().breaches().size(), 3u);
+  EXPECT_EQ(telemetry::Registry::global().health_status(), 1);
+  EXPECT_EQ(telemetry::Registry::global().breaches().size(), 3u);
 
   // Each breach is also a structured flight-recorder event.
   std::size_t recorded = 0;
@@ -468,18 +504,54 @@ TEST(Exporters, PrometheusTextExposesCountersAndSketchSummaries) {
   reset_health();
   const ScopedEnable enable;
   SOR_COUNTER("promtest/events").add(3);
-  auto& sketch = telemetry::HealthRegistry::global().sketch("promtest/lat");
+  auto& sketch = telemetry::Registry::global().sketch("promtest/lat");
   for (int i = 1; i <= 100; ++i) sketch.observe(static_cast<double>(i));
-  telemetry::HealthRegistry::global().rate("promtest/rate").add(2);
-  telemetry::HealthRegistry::global().roll_epoch(0);
+  telemetry::Registry::global().rate("promtest/rate").add(2);
+  telemetry::Registry::global().roll_epoch(0);
 
   const std::string text = telemetry::prometheus_text();
-  EXPECT_NE(text.find("sor_promtest_events 3"), std::string::npos);
+  // Every counter, windowed or not, is one "_total" family.
+  EXPECT_NE(text.find("# TYPE sor_promtest_events_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("sor_promtest_events_total 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE sor_promtest_lat summary"), std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat_count 100"), std::string::npos);
-  EXPECT_NE(text.find("sor_promtest_rate_total"), std::string::npos);
+  EXPECT_NE(text.find("sor_promtest_rate_total 2"), std::string::npos);
+  reset_health();
+}
+
+// A scraper rejects an exposition that declares one family twice, so
+// after a full controller run (health windows, quality sketches, shadow
+// samples, cost scopes) every "# TYPE" family must be unique.
+TEST(Exporters, PrometheusDeclaresEachFamilyOnceAfterControllerRun) {
+  reset_health();
+  const ScopedEnable enable;
+  engine::EngineRunConfig config;
+  config.source = "sp";
+  config.trace.num_epochs = 8;
+  config.engine.quality.shadow_every = 2;
+  engine::run_from_config(config);
+
+  const std::string text = telemetry::prometheus_text();
+  std::map<std::string, std::string> families;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    std::istringstream fields(line.substr(7));
+    std::string family;
+    std::string type;
+    fields >> family >> type;
+    EXPECT_TRUE(families.emplace(family, type).second)
+        << family << " declared twice (" << families[family] << ", " << type
+        << ")";
+  }
+  EXPECT_EQ(families["sor_engine_congestion"], "summary");
+  EXPECT_EQ(families["sor_engine_last_congestion"], "gauge");
+  EXPECT_EQ(families["sor_quality_regret"], "summary");
+  EXPECT_EQ(families["sor_quality_last_regret"], "gauge");
+  EXPECT_EQ(families["sor_engine_epochs_total"], "counter");
   reset_health();
 }
 
@@ -505,7 +577,7 @@ TEST(Exporters, RecorderOverflowSurfacesInHealthBlock) {
 TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   reset_health();
   const ScopedEnable enable;
-  auto& registry = telemetry::HealthRegistry::global();
+  auto& registry = telemetry::Registry::global();
   registry.sketch("jsontest/lat").observe(0.25);
   registry.window_gauge("jsontest/gauge").set(1.25);
   registry.rate("jsontest/rate").add(4);
@@ -551,7 +623,7 @@ TEST(Exporters, PrometheusEscapesLabelValuesAndHelpStrings) {
       .channel("promesc\"sub\\sys\nline")
       .charge(64);
   const std::string text = telemetry::prometheus_text();
-  EXPECT_NE(text.find("# HELP sor_promesc_ev_il_name run counter for "
+  EXPECT_NE(text.find("# HELP sor_promesc_ev_il_name_total run counter for "
                       "telemetry key promesc/ev\"il\\\\name"),
             std::string::npos);
   EXPECT_NE(

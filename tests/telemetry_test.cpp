@@ -1,6 +1,6 @@
-// Unit tests for src/telemetry: registry metrics under concurrency, span
-// tree nesting (including across thread-pool workers), JSON round-trip,
-// and the SOR_TELEMETRY kill switch.
+// Unit tests for src/telemetry: registry metrics under concurrency, one
+// kind per metric name, span tree nesting (including across thread-pool
+// workers), JSON round-trip, and the SOR_TELEMETRY kill switch.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 
 namespace sor {
 namespace {
@@ -69,43 +68,6 @@ TEST(TelemetryGauge, LastWriteWins) {
   EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
   gauge.set(-1.25);
   EXPECT_DOUBLE_EQ(gauge.value(), -1.25);
-}
-
-TEST(TelemetryHistogram, ConcurrentObservationsExactCountAndSum) {
-  const ScopedEnable enable;
-  auto& hist = SOR_HISTOGRAM("test/concurrent_hist", 0.0, 100.0, 10);
-  hist.reset();
-  const std::size_t n = 20000;
-  parallel_for(n, [&](std::size_t i) {
-    hist.observe(static_cast<double>(i % 100));
-  });
-  const auto snap = hist.snapshot();
-  EXPECT_EQ(snap.count, n);
-  double expected_sum = 0;
-  for (std::size_t i = 0; i < n; ++i) expected_sum += static_cast<double>(i % 100);
-  EXPECT_DOUBLE_EQ(snap.sum, expected_sum);
-  EXPECT_DOUBLE_EQ(snap.min, 0.0);
-  EXPECT_DOUBLE_EQ(snap.max, 99.0);
-  std::uint64_t bucket_total = 0;
-  for (std::uint64_t b : snap.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, n);
-}
-
-TEST(TelemetryHistogram, ClampsOutOfRangeIntoBoundaryBuckets) {
-  const ScopedEnable enable;
-  auto& hist = SOR_HISTOGRAM("test/clamp_hist", 0.0, 10.0, 10);
-  hist.reset();
-  hist.observe(-5.0);
-  hist.observe(25.0);
-  const auto snap = hist.snapshot();
-  EXPECT_EQ(snap.buckets.front(), 1u);
-  EXPECT_EQ(snap.buckets.back(), 1u);
-  // Exact extrema survive clamping.
-  EXPECT_DOUBLE_EQ(snap.min, -5.0);
-  EXPECT_DOUBLE_EQ(snap.max, 25.0);
-  const StatsSummary s = hist.summary();
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_DOUBLE_EQ(s.max, 25.0);  // exact, not the bin midpoint
 }
 
 TEST(TelemetrySpan, NestsAndAggregates) {
@@ -199,6 +161,29 @@ TEST(TelemetryJson, ParserRejectsMalformedInput) {
   EXPECT_THROW(JsonValue::parse("nul"), CheckError);
 }
 
+// Hostile nesting is a parse error, not a stack overflow: the readers of
+// ledgers and artifacts treat it like any other corrupt document.
+TEST(TelemetryJson, ParserRejectsNestingBeyondTheDepthLimit) {
+  EXPECT_THROW(JsonValue::parse(std::string(200000, '[')), CheckError);
+  EXPECT_THROW(JsonValue::parse(std::string(200000, '[') +
+                                std::string(200000, ']')),
+               CheckError);
+  const std::size_t limit = JsonValue::kMaxParseDepth;
+  EXPECT_THROW(JsonValue::parse(std::string(limit + 1, '[') +
+                                std::string(limit + 1, ']')),
+               CheckError);
+  // Exactly at the limit still parses.
+  const JsonValue deepest =
+      JsonValue::parse(std::string(limit, '[') + std::string(limit, ']'));
+  EXPECT_TRUE(deepest.is_array());
+  // Objects count toward the same limit.
+  std::string objects;
+  for (std::size_t i = 0; i < limit; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(limit, '}');
+  EXPECT_TRUE(JsonValue::parse(objects).is_object());
+  EXPECT_THROW(JsonValue::parse("[" + objects + "]"), CheckError);
+}
+
 TEST(TelemetryJson, ParserDecodesEscapes) {
   const JsonValue v = JsonValue::parse(R"("a\tbA\\")");
   EXPECT_EQ(v.as_string(), "a\tbA\\");
@@ -208,40 +193,40 @@ TEST(TelemetryExport, RegistrySnapshotHasExpectedShape) {
   const ScopedEnable enable;
   SOR_COUNTER("test/export_counter").add(7);
   SOR_GAUGE("test/export_gauge").set(1.5);
-  SOR_HISTOGRAM("test/export_hist", 0.0, 10.0, 5).observe(3.0);
+  SOR_SKETCH("test/export_sketch").observe(3.0);
 
   const JsonValue doc = telemetry::registry_to_json();
   ASSERT_TRUE(doc.is_object());
   EXPECT_GE(doc.at("counters").at("test/export_counter").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("test/export_gauge").as_number(), 1.5);
-  const JsonValue& hist = doc.at("histograms").at("test/export_hist");
-  EXPECT_GE(hist.at("count").as_number(), 1.0);
-  EXPECT_EQ(hist.at("buckets").size(), 5u);
+  // Distributions are sketches, exported through the health block only.
+  EXPECT_EQ(doc.members().size(), 2u);
+  EXPECT_FALSE(doc.at("counters").has("test/export_sketch"));
   // The exporter's output must itself round-trip.
   const JsonValue reparsed = JsonValue::parse(doc.dump(2));
-  EXPECT_TRUE(reparsed.at("histograms").has("test/export_hist"));
+  EXPECT_TRUE(reparsed.at("counters").has("test/export_counter"));
 }
 
 TEST(TelemetryKillSwitch, DisabledRecordsNothing) {
   const ScopedEnable enable;
   auto& counter = SOR_COUNTER("test/killswitch_counter");
   auto& gauge = SOR_GAUGE("test/killswitch_gauge");
-  auto& hist = SOR_HISTOGRAM("test/killswitch_hist", 0.0, 1.0, 4);
+  auto& sketch = SOR_SKETCH("test/killswitch_sketch");
   counter.reset();
   gauge.set(3.0);
-  hist.reset();
+  sketch.reset();
   telemetry::reset_spans();
 
   telemetry::set_enabled(false);
   counter.add(5);
   gauge.set(99.0);
-  hist.observe(0.5);
+  sketch.observe(0.5);
   { SOR_SPAN("test/killswitch_span"); }
   telemetry::set_enabled(true);
 
   EXPECT_EQ(counter.value(), 0u);
   EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
-  EXPECT_EQ(hist.snapshot().count, 0u);
+  EXPECT_EQ(sketch.count(), 0u);
   EXPECT_EQ(find_span(telemetry::snapshot_spans(), "test/killswitch_span"),
             nullptr);
 }
@@ -269,41 +254,6 @@ TEST(TelemetryKillSwitch, SolverResultsUnchangedWhenDisabled) {
   EXPECT_DOUBLE_EQ(with_telemetry, without_telemetry);
 }
 
-TEST(HistogramQuantiles, EmptyHistogramSummarizesToZero) {
-  const std::vector<std::uint64_t> empty_counts(8, 0);
-  const StatsSummary s = summarize_histogram(empty_counts, 0.0, 1.0);
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.p50, 0.0);
-  EXPECT_DOUBLE_EQ(s.p95, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(HistogramQuantiles, SingleBucketPutsEveryQuantileAtItsMidpoint) {
-  const std::vector<std::uint64_t> counts = {17};
-  const StatsSummary s = summarize_histogram(counts, 0.0, 10.0);
-  EXPECT_EQ(s.count, 17u);
-  EXPECT_DOUBLE_EQ(s.p50, 5.0);
-  EXPECT_DOUBLE_EQ(s.p95, 5.0);
-  EXPECT_DOUBLE_EQ(s.p99, 5.0);
-}
-
-TEST(HistogramQuantiles, AllValuesEqualCollapseTheQuantiles) {
-  const ScopedEnable enable;
-  auto& hist = SOR_HISTOGRAM("test/all_equal_hist", 0.0, 10.0, 10);
-  hist.reset();
-  for (int i = 0; i < 100; ++i) hist.observe(3.0);
-  const StatsSummary s = hist.summary();
-  EXPECT_EQ(s.count, 100u);
-  // Every value landed in the [3, 4) bucket, so every quantile is that
-  // bucket's midpoint, the mean is exact, and max is the exact extremum.
-  EXPECT_DOUBLE_EQ(s.p50, 3.5);
-  EXPECT_DOUBLE_EQ(s.p95, 3.5);
-  EXPECT_DOUBLE_EQ(s.p99, 3.5);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-}
-
 TEST(TelemetryRegistry, ConcurrentInterningAndUpdates) {
   const ScopedEnable enable;
   // Threads race both the name→metric interning map and the metric
@@ -319,6 +269,22 @@ TEST(TelemetryRegistry, ConcurrentInterningAndUpdates) {
     if (name.rfind("test/registry_race_", 0) == 0) total += value;
   }
   EXPECT_GE(total, n);  // >= because other suite runs may share names
+}
+
+// One name, one metric: re-interning a name as another kind fails loudly
+// instead of creating a second metric that exporters would declare twice.
+TEST(TelemetryRegistry, InterningOneNameAsTwoKindsFails) {
+  auto& registry = telemetry::Registry::global();
+  registry.counter("test/one_kind_counter");
+  EXPECT_THROW(registry.gauge("test/one_kind_counter"), CheckError);
+  EXPECT_THROW(registry.sketch("test/one_kind_counter"), CheckError);
+  EXPECT_THROW(registry.window_gauge("test/one_kind_counter"), CheckError);
+  registry.sketch("test/one_kind_sketch");
+  EXPECT_THROW(registry.counter("test/one_kind_sketch"), CheckError);
+  EXPECT_THROW(registry.rate("test/one_kind_sketch"), CheckError);
+  // The same kind re-interns to the same object, windowed or not.
+  EXPECT_EQ(&registry.counter("test/one_kind_counter"),
+            &registry.rate("test/one_kind_counter"));
 }
 
 TEST(Recorder, RecordsEventsInOrderWithFields) {

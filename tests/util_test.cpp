@@ -326,37 +326,6 @@ TEST(StatsSummary, QuantilesByNearestRank) {
   EXPECT_DOUBLE_EQ(s.max, 100.0);
 }
 
-TEST(StatsSummary, HistogramEmptyIsAllZeros) {
-  const std::vector<std::uint64_t> counts(8, 0);
-  const StatsSummary s = summarize_histogram(counts, 0.0, 8.0);
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 0.0);
-}
-
-TEST(StatsSummary, HistogramReconstructsBinMidpoints) {
-  // 4 bins over [0, 8): midpoints 1, 3, 5, 7.
-  const std::vector<std::uint64_t> counts{2, 0, 0, 2};
-  const StatsSummary s = summarize_histogram(counts, 0.0, 8.0);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 4.0);
-  EXPECT_DOUBLE_EQ(s.max, 7.0);
-  EXPECT_DOUBLE_EQ(s.p50, 7.0);  // 0-based rank 2 of 4 lands in the last bin
-  EXPECT_DOUBLE_EQ(s.p99, 7.0);
-}
-
-TEST(StatsSummary, HistogramClampedBoundaryBin) {
-  // Everything in the last bin (as clamping produces): all quantiles and
-  // the max collapse onto its midpoint.
-  const std::vector<std::uint64_t> counts{0, 0, 0, 5};
-  const StatsSummary s = summarize_histogram(counts, 0.0, 4.0);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.5);
-  EXPECT_DOUBLE_EQ(s.p50, 3.5);
-  EXPECT_DOUBLE_EQ(s.p99, 3.5);
-  EXPECT_DOUBLE_EQ(s.max, 3.5);
-}
-
 // Satellite: the human-readable formatters meet negative and non-finite
 // values when rendering corrupt or sentinel metrics; they must degrade to
 // spelled-out text instead of scaling garbage.
