@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "graph/fingerprint.hpp"
-
 namespace sor {
 
 Path reversed(const Path& p) {
@@ -202,47 +200,11 @@ std::size_t PathActivation::num_active(Vertex s, Vertex t) const {
   return count;
 }
 
-std::uint64_t PathActivation::digest() const {
-  std::uint64_t h = mix_hash(0x41435456u /* "ACTV" */,
-                             static_cast<std::uint64_t>(system_ != nullptr));
-  if (system_ == nullptr) return h;
-  for (const VertexPair& pair : system_->pairs()) {
-    h = mix_hash(h, (static_cast<std::uint64_t>(pair.a) << 32) |
-                        static_cast<std::uint64_t>(pair.b));
-    const std::size_t count = system_->canonical_paths(pair.a, pair.b).size();
-    for (std::size_t i = 0; i < count; ++i) {
-      h = mix_hash(h, static_cast<std::uint64_t>(is_active(pair.a, pair.b, i)));
-    }
-  }
-  // Extras can exist for pairs outside the system; iterate their keys in
-  // sorted order so the digest is independent of map layout.
-  std::vector<VertexPair> extra_pairs;
-  extra_pairs.reserve(extras_.size());
-  for (const auto& [pair, list] : extras_) extra_pairs.push_back(pair);
-  std::sort(extra_pairs.begin(), extra_pairs.end(),
-            [](const VertexPair& x, const VertexPair& y) {
-              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-            });
-  for (const VertexPair& pair : extra_pairs) {
-    h = mix_hash(h, (static_cast<std::uint64_t>(pair.a) << 32) |
-                        static_cast<std::uint64_t>(pair.b));
-    for (const Extra& extra : extras_.at(pair)) {
-      h = mix_hash(h, static_cast<std::uint64_t>(extra.active));
-      h = mix_hash(h, (static_cast<std::uint64_t>(extra.path.src) << 32) |
-                          static_cast<std::uint64_t>(extra.path.dst));
-      for (EdgeId e : extra.path.edges) {
-        h = mix_hash(h, static_cast<std::uint64_t>(e));
-      }
-    }
-  }
-  return h;
-}
-
 std::vector<ActivationFlag> PathActivation::flag_snapshot() const {
   std::vector<ActivationFlag> flags;
   if (system_ == nullptr) return flags;
-  // Base candidates in the digest's enumeration order: sorted pairs,
-  // candidate-index order within each pair.
+  // Base candidates in sorted pair order, candidate-index order within
+  // each pair.
   for (const VertexPair& pair : system_->pairs()) {
     const std::uint64_t key = (static_cast<std::uint64_t>(pair.a) << 32) |
                               static_cast<std::uint64_t>(pair.b);

@@ -119,13 +119,6 @@ class PathActivation {
   /// Count of active candidates (base + extras) for the pair.
   std::size_t num_active(Vertex s, Vertex t) const;
 
-  /// Deterministic digest of the activation state: every base flag (in
-  /// sorted pair / candidate-index order) and every extra path with its
-  /// flag. Two masks over the same system have equal digests iff they
-  /// activate the same candidate sets — the epoch controller keys its
-  /// per-epoch candidate memo on this.
-  std::uint64_t digest() const;
-
   /// Deterministic flattened flag vector: base candidates of every pair
   /// in sorted pair / index order, then every extra (sorted pair order,
   /// install order within the pair). Keys are stable across epochs — the
@@ -148,10 +141,10 @@ class PathActivation {
 
 /// A per-pair routing table: canonical pair → path (canonical
 /// orientation) → fraction of the pair's demand carried on that path.
-/// The common currency between the control plane and the serving layer —
-/// the engine's installed split, core::split_fractions extraction, and
-/// serve::RouteSnapshot::build all speak this type, so snapshots built
-/// from either source compare byte-identically.
+/// core::split_fractions extracts it from a solved restricted problem and
+/// serve::RouteSnapshot::build freezes it into the sorted table the engine
+/// installs and serves, so snapshots built from equal tables compare
+/// byte-identically.
 using SplitFractions =
     std::unordered_map<VertexPair,
                        std::unordered_map<Path, double, PathHash>,

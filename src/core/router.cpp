@@ -258,22 +258,24 @@ IntegralRoute SemiObliviousRouter::route_integral(const Demand& demand,
   return route;
 }
 
-SplitFractions split_fractions(const FractionalRoute& route) {
+SplitFractions split_fractions(
+    const RestrictedProblem& problem,
+    const std::vector<std::vector<double>>& weights) {
   SplitFractions split;
-  for (std::size_t j = 0; j < route.problem.commodities.size(); ++j) {
-    const RestrictedCommodity& c = route.problem.commodities[j];
+  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
+    const RestrictedCommodity& c = problem.commodities[j];
     if (c.candidates.empty()) continue;
     const VertexPair pair = VertexPair::canonical(c.candidates.front().src,
                                                   c.candidates.front().dst);
     auto& rows = split[pair];
     for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      if (route.weights[j][p] <= 0) continue;
+      if (weights[j][p] <= 0) continue;
       // Fractions live on the canonical orientation so both directions of
-      // a pair share state — the same keying EpochController::install uses.
+      // a pair share state.
       const Path key = c.candidates[p].src < c.candidates[p].dst
                            ? c.candidates[p]
                            : reversed(c.candidates[p]);
-      rows[key] += route.weights[j][p] / c.demand;
+      rows[key] += weights[j][p] / c.demand;
     }
   }
   return split;

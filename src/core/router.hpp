@@ -60,13 +60,15 @@ struct IntegralRoute {
   std::size_t improvement_steps = 0;
 };
 
-/// Snapshot extraction: the per-pair split fractions of a fractional
-/// route, keyed exactly like the engine's installed split (canonical pair
-/// → canonical-orientation path → fraction of the pair's demand; zero-
-/// weight candidates are dropped, both orientations of a pair accumulate
-/// onto the same keys). serve::RouteSnapshot::build over this table
-/// serves answers byte-identical to the route's own weights.
-SplitFractions split_fractions(const FractionalRoute& route);
+/// Snapshot extraction: the per-pair split fractions of `weights` over
+/// `problem`'s candidates (canonical pair → canonical-orientation path →
+/// fraction of the pair's demand; zero-weight candidates are dropped, both
+/// orientations of a pair accumulate onto the same keys). The engine
+/// installs serve::RouteSnapshot::build over this table; built from a
+/// FractionalRoute's problem and weights it serves answers byte-identical
+/// to the route's own.
+SplitFractions split_fractions(const RestrictedProblem& problem,
+                               const std::vector<std::vector<double>>& weights);
 
 /// Thread-safety contract: the router holds no mutable state — every
 /// member is const and safe to call from any number of threads

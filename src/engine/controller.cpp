@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "core/router.hpp"
 #include "lp/shadow.hpp"
 #include "serve/service.hpp"
 #include "telemetry/memory.hpp"
@@ -35,34 +36,10 @@ RestrictedProblem EpochController::build_problem(const Demand& demand) const {
   RestrictedProblem problem;
   problem.graph = graph_;
   const PathActivation& activation = repairer_.activation();
-  const std::uint64_t digest = activation.digest();
-  // The memo is shared mutable cache behind a const method; hold its lock
-  // for the whole build so concurrent build_problem calls (monitor
-  // threads, shadow solves) never race the invalidate/insert sequence.
-  // Uncontended in the single-control-thread common case.
-  const std::lock_guard<std::mutex> memo_lock(memo_mu_);
-  if (!memo_valid_ || digest != memo_digest_) {
-    candidate_memo_.clear();
-    memo_digest_ = digest;
-    memo_valid_ = true;
-    SOR_COUNTER("engine/candidate_memo_invalidations").add();
-  }
   for (const Commodity& c : demand.commodities()) {
     RestrictedCommodity rc;
     rc.demand = c.amount;
-    const std::uint64_t key = (static_cast<std::uint64_t>(c.src) << 32) |
-                              static_cast<std::uint64_t>(c.dst);
-    const auto memo_it = candidate_memo_.find(key);
-    if (memo_it != candidate_memo_.end()) {
-      rc.candidates = memo_it->second;
-      SOR_COUNTER("engine/candidate_memo_hits").add();
-    } else {
-      rc.candidates = activation.active_oriented(c.src, c.dst);
-      if (!rc.candidates.empty()) {
-        candidate_memo_.emplace(key, rc.candidates);
-      }
-      SOR_COUNTER("engine/candidate_memo_misses").add();
-    }
+    rc.candidates = activation.active_oriented(c.src, c.dst);
     if (rc.candidates.empty()) {
       // Pair outside the installed system (or its mandatory fallback was
       // unreachable) — last-resort surviving-graph shortest path, the
@@ -89,39 +66,35 @@ std::vector<std::vector<double>> EpochController::remap_fractions(
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const RestrictedCommodity& c = problem.commodities[j];
     fractions[j].assign(c.candidates.size(), 0.0);
-    const VertexPair pair = VertexPair::canonical(c.candidates.front().src,
-                                                  c.candidates.front().dst);
-    const auto it = installed_.find(pair);
-    if (it == installed_.end()) continue;
+    // The snapshot stores each pair once, on canonical-orientation paths;
+    // match candidates of either direction against those rows.
+    const serve::LookupResult rows =
+        installed_->lookup(c.candidates.front().src, c.candidates.front().dst);
     for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      // Split fractions are stored on the canonical orientation so both
-      // directions of a pair share state.
-      const Path key = c.candidates[p].src < c.candidates[p].dst
-                           ? c.candidates[p]
-                           : reversed(c.candidates[p]);
-      const auto entry = it->second.find(key);
-      if (entry != it->second.end()) fractions[j][p] = entry->second;
+      const Path& candidate = c.candidates[p];
+      for (const serve::ServedPath& row : rows.paths) {
+        const bool same = rows.reverse
+                              ? std::equal(row.path.edges.begin(),
+                                           row.path.edges.end(),
+                                           candidate.edges.rbegin(),
+                                           candidate.edges.rend())
+                              : row.path.edges == candidate.edges;
+        if (same) {
+          fractions[j][p] = row.fraction;
+          break;
+        }
+      }
     }
   }
   return fractions;
 }
 
-void EpochController::install(const RestrictedProblem& problem,
+void EpochController::install(std::size_t epoch,
+                              const RestrictedProblem& problem,
                               const RestrictedSolution& solution) {
-  installed_.clear();
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& c = problem.commodities[j];
-    const VertexPair pair = VertexPair::canonical(c.candidates.front().src,
-                                                  c.candidates.front().dst);
-    auto& split = installed_[pair];
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      if (solution.weights[j][p] <= 0) continue;
-      const Path key = c.candidates[p].src < c.candidates[p].dst
-                           ? c.candidates[p]
-                           : reversed(c.candidates[p]);
-      split[key] += solution.weights[j][p] / c.demand;
-    }
-  }
+  installed_ = std::make_shared<const serve::RouteSnapshot>(
+      serve::RouteSnapshot::build(epoch,
+                                  split_fractions(problem, solution.weights)));
   if (!solution.dual_lengths.empty()) warm_lengths_ = solution.dual_lengths;
 }
 
@@ -199,7 +172,8 @@ EpochReport EpochController::step(std::span<const Event> events,
       budget_reporter.deadline_seconds = options_.solve_deadline_ms / 1000.0;
       budget.emplace(budget_reporter);
     }
-    const bool have_warm = options_.warm_start && !installed_.empty() &&
+    const bool have_warm = options_.warm_start && installed_ != nullptr &&
+                           installed_->num_pairs() > 0 &&
                            !warm_lengths_.empty();
     RestrictedWarmStart warm;
     if (have_warm) {
@@ -269,25 +243,26 @@ EpochReport EpochController::step(std::span<const Event> events,
          {"congestion", solution.congestion}});
   }
 
-  install(problem, solution);
+  {
+    SOR_SPAN("engine/install");
+    install(report.epoch, problem, solution);
+  }
 
-  // Snapshot publish: freeze the just-installed split into an immutable
-  // RouteSnapshot and RCU-swap it into the serving front-end. Readers on
-  // other threads keep answering from the previous epoch's table until
-  // the single release store below lands; nothing here feeds back into
-  // routing, so serving-enabled runs stay byte-identical.
+  // Snapshot publish: the installed split is already frozen, so publishing
+  // shares it with the serving front-end (RCU swap). Readers on other
+  // threads keep answering from the previous epoch's table until the
+  // single release store lands; nothing here feeds back into routing, so
+  // serving-enabled runs stay byte-identical.
   if (options_.service != nullptr) {
     SOR_SPAN("engine/publish");
-    auto snap = std::make_shared<const serve::RouteSnapshot>(
-        serve::RouteSnapshot::build(report.epoch, installed_));
     telemetry::Recorder::global().record(
         "engine/publish",
         {{"epoch", static_cast<std::uint64_t>(report.epoch)},
-         {"pairs", static_cast<std::uint64_t>(snap->num_pairs())},
-         {"paths", static_cast<std::uint64_t>(snap->num_paths())},
-         {"digest", snap->digest()}});
+         {"pairs", static_cast<std::uint64_t>(installed_->num_pairs())},
+         {"paths", static_cast<std::uint64_t>(installed_->num_paths())},
+         {"digest", installed_->digest()}});
     SOR_COUNTER("engine/snapshots_published").add();
-    options_.service->publish(std::move(snap));
+    options_.service->publish(installed_);
   }
 
   // The realized matrix rides the installed split.

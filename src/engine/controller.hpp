@@ -24,9 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/path_system.hpp"
@@ -35,6 +33,7 @@
 #include "engine/quality.hpp"
 #include "engine/repair.hpp"
 #include "lp/path_lp.hpp"
+#include "serve/snapshot.hpp"
 #include "telemetry/sketch.hpp"
 #include "telemetry/slo.hpp"
 
@@ -79,9 +78,9 @@ struct EngineOptions {
   /// fields so pre-observatory digests stay comparable.
   QualityOptions quality;
   /// Serving front-end to publish to (non-owning; must outlive the run;
-  /// nullptr = no serving). When set, every epoch's install step builds
-  /// an immutable serve::RouteSnapshot of the installed split and swaps
-  /// it into the service (RCU publish), and run_control_loop drains the
+  /// nullptr = no serving). When set, every epoch's installed split —
+  /// already an immutable serve::RouteSnapshot — is swapped into the
+  /// service (RCU publish), and run_control_loop drains the
   /// service's batched demand updates into each epoch's realized matrix.
   /// Publishing never alters routing decisions, so a run with a service
   /// attached (and no enqueued updates) stays byte-identical to one
@@ -147,8 +146,7 @@ struct EpochReport {
 /// Thread-safety: step() runs on ONE control thread; serving readers see
 /// the controller's work only through the immutable RouteSnapshots it
 /// publishes (EngineOptions::service), never through shared mutable
-/// state. The candidate memo — the one piece of mutable state behind a
-/// const method — is mutex-guarded so concurrent const calls stay clean.
+/// state. The const members hold no mutable state at all.
 class EpochController {
  public:
   /// `g` and `system` are referenced and must outlive the controller.
@@ -173,11 +171,11 @@ class EpochController {
 
  private:
   RestrictedProblem build_problem(const Demand& demand) const;
-  /// Previous-epoch split fractions remapped onto `problem`'s candidate
-  /// lists by path identity (0 for paths never routed before).
+  /// Installed split fractions remapped onto `problem`'s candidate lists
+  /// by path identity (0 for paths never routed before).
   std::vector<std::vector<double>> remap_fractions(
       const RestrictedProblem& problem) const;
-  void install(const RestrictedProblem& problem,
+  void install(std::size_t epoch, const RestrictedProblem& problem,
                const RestrictedSolution& solution);
 
   const Graph* graph_;
@@ -186,22 +184,10 @@ class EpochController {
   PathRepairer repairer_;
   std::unique_ptr<DemandPredictor> predictor_;
   std::size_t epoch_ = 0;
-  /// Per-direction candidate lists memoized across epochs: repeated
-  /// re-solves rebuild the same oriented path copies unless the activation
-  /// mask actually changed. Keyed by the activation digest — any failure,
-  /// recovery, or fallback install changes the digest and drops the memo;
-  /// quiet epochs (the common case) reuse it. Empty candidate lists are
-  /// never memoized (their ad-hoc fallback depends on the surviving
-  /// graph, not just the mask). The memo is mutable cache state behind a
-  /// const method, so it is guarded by memo_mu_: build_problem is safe to
-  /// call concurrently (e.g. from a monitor thread while the serving
-  /// layer publishes) instead of silently racing on the map.
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::uint64_t, std::vector<Path>> candidate_memo_;
-  mutable std::uint64_t memo_digest_ = 0;
-  mutable bool memo_valid_ = false;
-  /// Installed split: pair → (path → fraction of the pair's demand).
-  InstalledSplit installed_;
+  /// Installed split, frozen: the epoch's table as published, warm-start
+  /// source for the next solve, and the quality tracker's current epoch.
+  /// Null before the first install.
+  std::shared_ptr<const serve::RouteSnapshot> installed_;
   std::vector<double> warm_lengths_;
   /// Controller-local solve-latency sketch: per-run quantiles for the
   /// EpochReport health snapshot (the global "engine/solve_seconds"

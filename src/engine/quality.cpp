@@ -1,121 +1,102 @@
 #include "engine/quality.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <span>
 #include <tuple>
 #include <utility>
 
 #include "engine/controller.hpp"
+#include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace sor::engine {
 
 namespace {
 
-// Order by (src, dst, edge sequence) so top-path tie-breaks and row
-// ordering are deterministic (the shared graph/path.hpp total order).
-bool path_less(const Path& x, const Path& y) {
-  return path_lexicographic_less(x, y);
+using serve::ServedPath;
+
+// A pair's top path: its largest fraction, ties to the lexicographically
+// smallest path. Rows are path-sorted, so the first strictly-larger
+// fraction wins.
+const Path& top_path(std::span<const ServedPath> rows) {
+  const ServedPath* best = &rows.front();
+  for (const ServedPath& row : rows) {
+    if (row.fraction > best->fraction) best = &row;
+  }
+  return best->path;
+}
+
+double weight_sum(std::span<const ServedPath> rows) {
+  double sum = 0;
+  for (const ServedPath& row : rows) sum += row.fraction;
+  return sum;
 }
 
 }  // namespace
 
-std::vector<QualityTracker::PairSplit> QualityTracker::flatten(
-    const InstalledSplit& installed) {
-  std::vector<PairSplit> split;
-  split.reserve(installed.size());
-  for (const auto& [pair, paths] : installed) {
-    PairSplit ps;
-    ps.pair = pair;
-    ps.rows.assign(paths.begin(), paths.end());
-    std::sort(ps.rows.begin(), ps.rows.end(),
-              [](const auto& x, const auto& y) {
-                return path_less(x.first, y.first);
-              });
-    // Rows are path-sorted, so the first strictly-larger fraction wins
-    // and ties resolve to the lexicographically smallest path.
-    double best = -1;
-    for (const auto& [path, fraction] : ps.rows) {
-      if (fraction > best) {
-        best = fraction;
-        ps.top = path;
-      }
-    }
-    split.push_back(std::move(ps));
-  }
-  std::sort(split.begin(), split.end(), [](const PairSplit& x,
-                                           const PairSplit& y) {
-    return std::tie(x.pair.a, x.pair.b) < std::tie(y.pair.a, y.pair.b);
-  });
-  return split;
-}
-
-void QualityTracker::observe_install(const PathActivation& activation,
-                                     const InstalledSplit& installed,
-                                     EpochQuality& q) {
+void QualityTracker::observe_install(
+    const PathActivation& activation,
+    std::shared_ptr<const serve::RouteSnapshot> installed, EpochQuality& q) {
+  SOR_CHECK(installed != nullptr);
   std::vector<ActivationFlag> flags = activation.flag_snapshot();
-  std::vector<PairSplit> split = flatten(installed);
 
-  if (has_previous_) {
+  if (prev_split_ != nullptr) {
     q.mask_churn = activation_hamming(prev_flags_, flags);
 
-    // Merge the sorted pair lists: L1 drift over the union, top-path
-    // flips over the intersection.
+    // Merge the two tables' sorted pair lists: L1 drift over the union,
+    // top-path flips over the intersection.
+    const serve::RouteSnapshot& prev = *prev_split_;
+    const serve::RouteSnapshot& next = *installed;
     std::size_t i = 0;
     std::size_t j = 0;
-    const auto pair_key = [](const PairSplit& ps) {
-      return std::tie(ps.pair.a, ps.pair.b);
+    const auto pair_key = [](const VertexPair& pair) {
+      return std::tie(pair.a, pair.b);
     };
-    const auto weight_sum = [](const PairSplit& ps) {
-      double sum = 0;
-      for (const auto& [path, fraction] : ps.rows) sum += fraction;
-      return sum;
-    };
-    while (i < prev_split_.size() && j < split.size()) {
-      if (pair_key(prev_split_[i]) == pair_key(split[j])) {
+    while (i < prev.num_pairs() && j < next.num_pairs()) {
+      const VertexPair x = prev.pair_at(i);
+      const VertexPair y = next.pair_at(j);
+      if (x == y) {
         // Both epochs installed this pair: row-level L1 over the union of
         // paths (both row lists are path-sorted).
-        const auto& before = prev_split_[i].rows;
-        const auto& after = split[j].rows;
+        const std::span<const ServedPath> before = prev.rows_at(i);
+        const std::span<const ServedPath> after = next.rows_at(j);
         std::size_t a = 0;
         std::size_t b = 0;
         while (a < before.size() && b < after.size()) {
-          if (before[a].first == after[b].first) {
-            q.weight_l1_drift += std::abs(after[b].second - before[a].second);
+          if (before[a].path == after[b].path) {
+            q.weight_l1_drift +=
+                std::abs(after[b].fraction - before[a].fraction);
             ++a;
             ++b;
-          } else if (path_less(before[a].first, after[b].first)) {
-            q.weight_l1_drift += before[a].second;
+          } else if (path_lexicographic_less(before[a].path, after[b].path)) {
+            q.weight_l1_drift += before[a].fraction;
             ++a;
           } else {
-            q.weight_l1_drift += after[b].second;
+            q.weight_l1_drift += after[b].fraction;
             ++b;
           }
         }
-        for (; a < before.size(); ++a) q.weight_l1_drift += before[a].second;
-        for (; b < after.size(); ++b) q.weight_l1_drift += after[b].second;
-        if (!(prev_split_[i].top == split[j].top)) ++q.top_path_flips;
+        for (; a < before.size(); ++a) q.weight_l1_drift += before[a].fraction;
+        for (; b < after.size(); ++b) q.weight_l1_drift += after[b].fraction;
+        if (!(top_path(before) == top_path(after))) ++q.top_path_flips;
         ++i;
         ++j;
-      } else if (pair_key(prev_split_[i]) < pair_key(split[j])) {
-        q.weight_l1_drift += weight_sum(prev_split_[i]);
-        ++i;
+      } else if (pair_key(x) < pair_key(y)) {
+        q.weight_l1_drift += weight_sum(prev.rows_at(i++));
       } else {
-        q.weight_l1_drift += weight_sum(split[j]);
-        ++j;
+        q.weight_l1_drift += weight_sum(next.rows_at(j++));
       }
     }
-    for (; i < prev_split_.size(); ++i) {
-      q.weight_l1_drift += weight_sum(prev_split_[i]);
+    for (; i < prev.num_pairs(); ++i) {
+      q.weight_l1_drift += weight_sum(prev.rows_at(i));
     }
-    for (; j < split.size(); ++j) {
-      q.weight_l1_drift += weight_sum(split[j]);
+    for (; j < next.num_pairs(); ++j) {
+      q.weight_l1_drift += weight_sum(next.rows_at(j));
     }
   }
 
   prev_flags_ = std::move(flags);
-  prev_split_ = std::move(split);
-  has_previous_ = true;
+  prev_split_ = std::move(installed);
 }
 
 telemetry::JsonValue quality_to_json(const ControlLoopResult& result,

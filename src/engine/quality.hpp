@@ -27,13 +27,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "core/path_system.hpp"
 #include "demand/demand.hpp"
 #include "engine/predictor.hpp"
 #include "graph/path.hpp"
+#include "serve/snapshot.hpp"
 #include "telemetry/json.hpp"
 
 namespace sor::engine {
@@ -77,11 +78,6 @@ struct EpochQuality {
   std::size_t top_path_flips = 0;
 };
 
-/// The installed split the controller maintains: canonical pair → path
-/// (canonical orientation) → fraction of the pair's demand. Same type as
-/// the core SplitFractions table the serving layer snapshots.
-using InstalledSplit = SplitFractions;
-
 /// Tracks install-to-install stability. Feed every epoch's post-install
 /// state; churn fields compare against the previous call's snapshots.
 class QualityTracker {
@@ -95,26 +91,18 @@ class QualityTracker {
     return options_.shadow_every > 0 && epoch % options_.shadow_every == 0;
   }
 
-  /// Computes the churn fields of `q` against the previous epoch's
-  /// snapshots, then stores this epoch's. First call: all churn zero.
+  /// Computes the churn fields of `q` against the previous epoch's mask
+  /// and installed table, then keeps this epoch's. First call: all churn
+  /// zero. `installed` is the epoch's frozen split (non-null); the tracker
+  /// shares it rather than copying it.
   void observe_install(const PathActivation& activation,
-                       const InstalledSplit& installed, EpochQuality& q);
+                       std::shared_ptr<const serve::RouteSnapshot> installed,
+                       EpochQuality& q);
 
  private:
-  /// Deterministic flattened split: sorted pairs, each with its top path
-  /// (largest fraction, ties to the lexicographically smallest path) and
-  /// sorted (path, fraction) rows for the L1 diff.
-  struct PairSplit {
-    VertexPair pair;
-    Path top;
-    std::vector<std::pair<Path, double>> rows;
-  };
-  static std::vector<PairSplit> flatten(const InstalledSplit& installed);
-
   QualityOptions options_;
-  bool has_previous_ = false;
   std::vector<ActivationFlag> prev_flags_;
-  std::vector<PairSplit> prev_split_;
+  std::shared_ptr<const serve::RouteSnapshot> prev_split_;
 };
 
 struct ControlLoopResult;  // controller.hpp

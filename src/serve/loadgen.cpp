@@ -201,7 +201,8 @@ bool snapshot_matches_route_fractional(const Graph& g,
   const SemiObliviousRouter router(g, system, router_options);
   const FractionalRoute route = router.route_fractional(demand);
   const RouteSnapshot direct =
-      RouteSnapshot::build(published->epoch(), split_fractions(route));
+      RouteSnapshot::build(published->epoch(),
+                           split_fractions(route.problem, route.weights));
   return published->serialize() == direct.serialize();
 }
 

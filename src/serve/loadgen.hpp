@@ -84,7 +84,8 @@ ServeLoadReport run_serve_load(const Graph& g, const PathSystem& system,
 /// epoch over `demand` with a service attached, routes the same matrix
 /// through SemiObliviousRouter::route_fractional, and compares the
 /// published snapshot byte-for-byte against
-/// RouteSnapshot::build(0, split_fractions(route)). True iff the serving
+/// RouteSnapshot::build(0, split_fractions(route.problem, route.weights)).
+/// True iff the serving
 /// layer answers exactly what the router computes.
 bool snapshot_matches_route_fractional(const Graph& g,
                                        const PathSystem& system,

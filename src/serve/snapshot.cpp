@@ -29,9 +29,9 @@ RouteSnapshot RouteSnapshot::build(std::uint64_t epoch,
   RouteSnapshot snap;
   snap.epoch_ = epoch;
 
-  // Zero-fraction rows are dropped (matching EpochController::install and
-  // core::split_fractions, which never emit them), so two tables equal up
-  // to explicit zeros freeze into byte-identical snapshots.
+  // Zero-fraction rows are dropped (matching core::split_fractions, which
+  // never emits them), so two tables equal up to explicit zeros freeze
+  // into byte-identical snapshots.
   const auto has_positive_row = [](const auto& rows) {
     for (const auto& [path, fraction] : rows) {
       if (fraction > 0) return true;

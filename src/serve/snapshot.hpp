@@ -5,11 +5,13 @@
 // The TE-as-a-service consumer shape: the control loop re-solves split
 // fractions once per epoch, but route lookups happen per flow, many
 // orders of magnitude more often. A RouteSnapshot is the bridge: an
-// immutable, pre-sorted copy of the installed split (SplitFractions —
-// the same table EpochController::install maintains and
-// core::split_fractions extracts from a FractionalRoute), built once on
-// the control thread and then queried lock-free by any number of reader
-// threads through serve::RouteService.
+// immutable, pre-sorted copy of a split (SplitFractions, as
+// core::split_fractions extracts it from a solved restricted problem),
+// built once on the control thread and then queried lock-free by any
+// number of reader threads through serve::RouteService. The engine's
+// installed split IS a RouteSnapshot: EpochController::install builds one
+// per epoch, warm-starts and grades quality from it, and publishes that
+// same object.
 //
 // Immutability is the whole thread-safety story: after build() returns,
 // nothing ever mutates the snapshot, so const lookups need no
@@ -67,7 +69,7 @@ class RouteSnapshot {
 
   /// Freezes `split` as the routing table for `epoch`. Zero-fraction
   /// rows, and pairs with no positive-fraction rows, are dropped —
-  /// matching what install/split_fractions emit, so tables equal up to
+  /// matching what split_fractions emits, so tables equal up to
   /// explicit zeros freeze byte-identically. Runs on the control thread;
   /// the result is immutable and safe to share with readers.
   static RouteSnapshot build(std::uint64_t epoch,
@@ -80,6 +82,14 @@ class RouteSnapshot {
   std::uint64_t epoch() const { return epoch_; }
   std::size_t num_pairs() const { return entries_.size(); }
   std::size_t num_paths() const { return paths_.size(); }
+  /// The i-th pair in sorted (a, b) order, i < num_pairs(), and its rows
+  /// in path_lexicographic_less order — the table in serialize() order,
+  /// for consumers that walk two epochs' tables side by side.
+  VertexPair pair_at(std::size_t i) const { return entries_[i].pair; }
+  std::span<const ServedPath> rows_at(std::size_t i) const {
+    return std::span<const ServedPath>(paths_).subspan(entries_[i].begin,
+                                                       entries_[i].count);
+  }
 
   /// FNV-1a over the serialized table — equal iff serialize() is equal.
   /// Precomputed at build; readers use it to prove an answer came from

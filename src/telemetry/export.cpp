@@ -1,7 +1,6 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 namespace sor::telemetry {
 
@@ -165,16 +164,6 @@ JsonValue chrome_trace_json(const std::vector<TimelineEvent>& timeline,
 JsonValue chrome_trace_json() {
   return chrome_trace_json(snapshot_timeline(), Recorder::global().snapshot(),
                            ConvergenceCollector::global().snapshot());
-}
-
-void write_registry_csv(std::ostream& os, const Registry& registry) {
-  os << "kind,name,field,value\n";
-  for (const auto& [name, value] : registry.counters()) {
-    os << "counter," << name << ",value," << value << "\n";
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    os << "gauge," << name << ",value," << value << "\n";
-  }
 }
 
 }  // namespace sor::telemetry

@@ -181,8 +181,9 @@ TEST(ServeSnapshotDeterminism, SerializeBitIdenticalAcrossThreadCounts) {
   router_options.backend = LpBackend::kMwu;
   const SemiObliviousRouter router(g, system, router_options);
   const auto snapshots = at_pool_sizes([&] {
+    const FractionalRoute route = router.route_fractional(demand);
     return serve::RouteSnapshot::build(
-        11, split_fractions(router.route_fractional(demand)));
+        11, split_fractions(route.problem, route.weights));
   });
   EXPECT_GT(snapshots[0].num_paths(), 0u);
   const std::string reference = snapshots[0].serialize();

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/path_system.hpp"
 #include "demand/demand.hpp"
 #include "engine/predictor.hpp"
 #include "engine/quality.hpp"
+#include "serve/snapshot.hpp"
 
 namespace sor::engine {
 namespace {
@@ -172,6 +174,13 @@ Path make_path(Vertex src, Vertex dst, std::vector<EdgeId> edges) {
   return p;
 }
 
+// The tracker grades installed tables, which the controller freezes as
+// route snapshots.
+std::shared_ptr<const serve::RouteSnapshot> frozen(const SplitFractions& split) {
+  return std::make_shared<const serve::RouteSnapshot>(
+      serve::RouteSnapshot::build(0, split));
+}
+
 class QualityTrackerChurnTest : public ::testing::Test {
  protected:
   QualityTrackerChurnTest() {
@@ -186,10 +195,10 @@ class QualityTrackerChurnTest : public ::testing::Test {
 TEST_F(QualityTrackerChurnTest, FirstEpochHasZeroChurn) {
   QualityTracker tracker({});
   PathActivation mask(system_);
-  InstalledSplit split;
+  SplitFractions split;
   split[VertexPair::canonical(0, 1)][make_path(0, 1, {0})] = 1.0;
   EpochQuality q;
-  tracker.observe_install(mask, split, q);
+  tracker.observe_install(mask, frozen(split), q);
   EXPECT_EQ(q.mask_churn, 0u);
   EXPECT_DOUBLE_EQ(q.weight_l1_drift, 0);
   EXPECT_EQ(q.top_path_flips, 0u);
@@ -198,20 +207,20 @@ TEST_F(QualityTrackerChurnTest, FirstEpochHasZeroChurn) {
 TEST_F(QualityTrackerChurnTest, FlagFlipAndExtraCountAsHamming) {
   QualityTracker tracker({});
   PathActivation mask(system_);
-  InstalledSplit split;
+  SplitFractions split;
   EpochQuality q0;
-  tracker.observe_install(mask, split, q0);
+  tracker.observe_install(mask, frozen(split), q0);
 
   // One base flag flipped + one fallback installed = Hamming 2.
   mask.set_active(0, 1, 0, false);
   mask.add_extra(make_path(2, 3, {4, 5}));
   EpochQuality q1;
-  tracker.observe_install(mask, split, q1);
+  tracker.observe_install(mask, frozen(split), q1);
   EXPECT_EQ(q1.mask_churn, 2u);
 
   // Stable mask again: churn back to zero.
   EpochQuality q2;
-  tracker.observe_install(mask, split, q2);
+  tracker.observe_install(mask, frozen(split), q2);
   EXPECT_EQ(q2.mask_churn, 0u);
 }
 
@@ -222,24 +231,24 @@ TEST_F(QualityTrackerChurnTest, WeightDriftAndTopFlipAreExact) {
   const Path detour = make_path(0, 1, {1, 2});
   const VertexPair pair = VertexPair::canonical(0, 1);
 
-  InstalledSplit before;
+  SplitFractions before;
   before[pair][direct] = 1.0;
   EpochQuality q0;
-  tracker.observe_install(mask, before, q0);
+  tracker.observe_install(mask, frozen(before), q0);
 
   // Shift 60% of the pair onto the detour: L1 drift is
   // |0.4 - 1.0| + |0.6 - 0| = 1.2, and the top path flips.
-  InstalledSplit after;
+  SplitFractions after;
   after[pair][direct] = 0.4;
   after[pair][detour] = 0.6;
   EpochQuality q1;
-  tracker.observe_install(mask, after, q1);
+  tracker.observe_install(mask, frozen(after), q1);
   EXPECT_NEAR(q1.weight_l1_drift, 1.2, 1e-12);
   EXPECT_EQ(q1.top_path_flips, 1u);
 
   // Unchanged split: no drift, no flips.
   EpochQuality q2;
-  tracker.observe_install(mask, after, q2);
+  tracker.observe_install(mask, frozen(after), q2);
   EXPECT_DOUBLE_EQ(q2.weight_l1_drift, 0);
   EXPECT_EQ(q2.top_path_flips, 0u);
 }
@@ -249,15 +258,15 @@ TEST_F(QualityTrackerChurnTest, PairAppearingCountsWholeWeight) {
   // sum to the drift but cannot flip (no previous top to compare).
   QualityTracker tracker({});
   PathActivation mask(system_);
-  InstalledSplit before;
+  SplitFractions before;
   before[VertexPair::canonical(0, 1)][make_path(0, 1, {0})] = 1.0;
   EpochQuality q0;
-  tracker.observe_install(mask, before, q0);
+  tracker.observe_install(mask, frozen(before), q0);
 
-  InstalledSplit after = before;
+  SplitFractions after = before;
   after[VertexPair::canonical(2, 3)][make_path(2, 3, {3})] = 1.0;
   EpochQuality q1;
-  tracker.observe_install(mask, after, q1);
+  tracker.observe_install(mask, frozen(after), q1);
   EXPECT_NEAR(q1.weight_l1_drift, 1.0, 1e-12);
   EXPECT_EQ(q1.top_path_flips, 0u);
 }
