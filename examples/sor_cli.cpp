@@ -1134,17 +1134,27 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   if (!args.trace_out.empty()) enable_timeline_capture();
 
-  const sor::Graph g = sor::load_graph(args.graph_path);
+  // Input files are external bytes: a malformed one is a usage error
+  // (exit 2), never an uncaught CheckError.
+  std::optional<sor::Graph> loaded;
+  sor::Demand demand;
+  try {
+    loaded.emplace(sor::load_graph(args.graph_path));
+    if (!args.demand_path.empty()) {
+      demand = sor::load_demand(args.demand_path);
+    }
+  } catch (const sor::CheckError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+  const sor::Graph& g = *loaded;
   std::cout << "graph: " << g.summary() << "\n";
   if (!g.is_connected()) {
     std::cerr << "error: graph is not connected\n";
     return 1;
   }
 
-  sor::Demand demand;
-  if (!args.demand_path.empty()) {
-    demand = sor::load_demand(args.demand_path);
-  } else {
+  if (args.demand_path.empty()) {
     demand = sor::gravity_demand(g, static_cast<double>(g.num_vertices()));
     std::cout << "no --demand given; using a gravity matrix of total "
               << demand.total() << "\n";

@@ -14,14 +14,16 @@ void write_demand(const Demand& demand, std::ostream& os) {
 Demand read_demand(std::istream& is) {
   Demand demand;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream row(line);
     Vertex s = 0, t = 0;
     double amount = 0;
     SOR_CHECK_MSG(static_cast<bool>(row >> s >> t >> amount),
-                  "demand file: bad line: " << line);
+                  "demand file line " << line_no << ": bad line: " << line);
     demand.add(s, t, amount);
   }
   return demand;

@@ -128,12 +128,25 @@ RepairReport PathRepairer::apply_epoch(std::span<const Event> events,
       }
     }
     if (!covered) {
-      const Path fallback = surviving_shortest_path(pair.a, pair.b);
+      Path fallback = surviving_shortest_path(pair.a, pair.b);
       if (fallback.src == kInvalidVertex) continue;  // disconnected pair
-      const std::size_t index = activation_.add_extra(fallback);
-      extras_.emplace_back(VertexPair::canonical(pair.a, pair.b), index);
-      ++report.fallbacks_installed;
-      SOR_COUNTER("engine/fallback_installs").add();
+      if (fallback.src > fallback.dst) fallback = reversed(fallback);
+      // The fallback may be a base candidate whose links are back but
+      // whose budgeted reactivation was deferred: re-arm it rather than
+      // install a second copy of the same path.
+      const auto base = system_->canonical_paths(pair.a, pair.b);
+      const auto same = std::find(base.begin(), base.end(), fallback);
+      if (same != base.end()) {
+        activation_.set_active(pair.a, pair.b,
+                               static_cast<std::size_t>(same - base.begin()),
+                               true);
+        ++report.reactivated;
+      } else {
+        const std::size_t index = activation_.add_extra(std::move(fallback));
+        extras_.emplace_back(VertexPair::canonical(pair.a, pair.b), index);
+        ++report.fallbacks_installed;
+        SOR_COUNTER("engine/fallback_installs").add();
+      }
     }
     budget = budget > 0 ? budget - 1 : 0;
   }

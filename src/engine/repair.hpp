@@ -13,7 +13,9 @@
 //  2. Surviving siblings absorb the load (the LP just re-splits).
 //  3. Only a pair that lost ALL candidates gets new forwarding state: a
 //     BFS shortest path on the surviving graph, installed as an
-//     activation "extra". Stranded-pair fallbacks are mandatory (they may
+//     activation "extra" — or, when it is one of the pair's own base
+//     candidates (links back up, reactivation deferred), by re-arming
+//     that candidate. Stranded-pair fallbacks are mandatory (they may
 //     overdraw the budget — routability beats reconfiguration cost).
 //  4. Reactivations after recovery are optional work and strictly
 //     budget-limited; what does not fit is deferred to later epochs.

@@ -1,5 +1,7 @@
 #include "graph/io.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -14,8 +16,10 @@ void write_edge_list(const Graph& g, std::ostream& os) {
 
 Graph read_edge_list(std::istream& is) {
   std::string line;
+  std::size_t line_no = 0;
   auto next_data_line = [&](std::string& out) -> bool {
     while (std::getline(is, out)) {
+      ++line_no;
       // Skip blanks and comments.
       const auto first = out.find_first_not_of(" \t\r");
       if (first == std::string::npos) continue;
@@ -36,10 +40,24 @@ Graph read_edge_list(std::istream& is) {
   while (next_data_line(line)) {
     std::istringstream row(line);
     Vertex u = 0, v = 0;
-    double cap = 1.0;
     SOR_CHECK_MSG(static_cast<bool>(row >> u >> v),
-                  "edge list: bad edge line: " << line);
-    if (!(row >> cap)) cap = 1.0;
+                  "edge list line " << line_no << ": bad edge line: " << line);
+    SOR_CHECK_MSG(u < n && v < n && u != v,
+                  "edge list line " << line_no << ": endpoints " << u << ","
+                                    << v << " not two distinct vertices below "
+                                    << n);
+    double cap = 1.0;
+    std::string field;
+    if (row >> field) {
+      // The whole field must be the number: "2x" is not a capacity of 2.
+      char* end = nullptr;
+      cap = std::strtod(field.c_str(), &end);
+      SOR_CHECK_MSG(*end == '\0' && std::isfinite(cap) && cap > 0,
+                    "edge list line " << line_no
+                                      << ": capacity must be a finite "
+                                         "positive number, got \""
+                                      << field << "\"");
+    }
     g.add_edge(u, v, cap);
   }
   return g;

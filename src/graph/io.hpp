@@ -4,9 +4,12 @@
 //
 // Edge-list format:
 //   line 1:  "<num_vertices>"
-//   then one line per edge: "<u> <v> <capacity>"
+//   then one line per edge: "<u> <v> [<capacity>]" (capacity defaults
+//   to 1; when given it must be a finite positive number)
 // Lines starting with '#' are comments. This round-trips exactly
-// (edge order and capacities preserved).
+// (edge order and capacities preserved). read_edge_list throws CheckError
+// naming the line on a malformed row, an endpoint outside [0, n), a
+// self-loop, or a bad capacity.
 
 #include <iosfwd>
 #include <string>

@@ -13,7 +13,9 @@
 #include "engine/predictor.hpp"
 #include "engine/repair.hpp"
 #include "engine/replay.hpp"
+#include "flow/congestion.hpp"
 #include "graph/generators.hpp"
+#include "serve/service.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/recorder.hpp"
@@ -258,6 +260,74 @@ TEST(Repair, ZeroBudgetDefersReactivation) {
   EXPECT_EQ(report.reactivated, 0u);
   EXPECT_GE(report.deferred, 1u);
   EXPECT_FALSE(repairer.activation().is_active(0, 3, 0));
+}
+
+// Congestion of `demand` routed on the table a service last published.
+double published_congestion(const Graph& g, const serve::RouteService& service,
+                            const Demand& demand) {
+  const auto snap = service.snapshot();
+  EdgeLoad load = zero_load(g);
+  for (const Commodity& c : demand.commodities()) {
+    const serve::LookupResult answer = snap->lookup(c.src, c.dst);
+    for (const serve::ServedPath& row : answer.paths) {
+      add_path_load(row.path, c.amount * row.fraction, load);
+    }
+  }
+  return max_congestion(g, load);
+}
+
+TEST(Repair, StrandedFallbackReArmsADeferredBaseCandidate) {
+  // Diamond without the direct edge, so a stranded 0–3 pair's surviving
+  // shortest path is one of its own base candidates.
+  Graph g(4);
+  const EdgeId e01 = g.add_edge(0, 1);
+  const EdgeId e02 = g.add_edge(0, 2);
+  const EdgeId e13 = g.add_edge(1, 3);
+  const EdgeId e23 = g.add_edge(2, 3);
+  PathSystem ps;
+  ps.add(Path{0, 3, {e01, e13}});
+  ps.add(Path{0, 3, {e02, e23}});
+  Demand demand;
+  demand.add(0, 3, 1.0);
+
+  serve::RouteService service;
+  EngineOptions options;
+  options.repair.churn_budget = 1;
+  options.service = &service;
+  EpochController controller(g, ps, options);
+  const std::vector<std::vector<Event>> epochs = {
+      {},
+      {{1, EventKind::kLinkFailure, e01, 0, 0}},
+      // e01 is back (its candidate is eligible again) while e23 strands
+      // the pair: the fallback is exactly the 0–1–3 base candidate.
+      {{2, EventKind::kLinkRecovery, e01, 0, 0},
+       {2, EventKind::kLinkFailure, e23, 0, 0}},
+      // Both candidates come back within the budget and split the pair;
+      // a duplicate 0–1–3 copy would now be double-counted.
+      {{3, EventKind::kLinkRecovery, e23, 0, 0}},
+      {},
+      {},
+      {}};
+  for (const std::vector<Event>& events : epochs) {
+    const EpochReport report = controller.step(events, demand);
+    const std::vector<Path> active =
+        controller.activation().active_oriented(0, 3);
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      for (std::size_t j = i + 1; j < active.size(); ++j) {
+        EXPECT_FALSE(active[i] == active[j])
+            << "epoch " << report.epoch << " lists a candidate twice";
+      }
+    }
+    EXPECT_NEAR(report.congestion, published_congestion(g, service, demand),
+                1e-9)
+        << "epoch " << report.epoch;
+    if (report.epoch == 2) {
+      EXPECT_EQ(report.repair.fallbacks_installed, 0u);
+      EXPECT_EQ(report.repair.reactivated, 1u);
+      EXPECT_TRUE(controller.activation().is_active(0, 3, 0));
+    }
+  }
+  EXPECT_EQ(controller.activation().num_extras(0, 3), 0u);
 }
 
 EngineRunConfig small_config() {

@@ -311,6 +311,21 @@ TEST(Io, SkipsCommentsAndDefaultsCapacity) {
   EXPECT_DOUBLE_EQ(g.edge(1).capacity, 2.5);
 }
 
+TEST(Io, RejectsHostileRowsNamingTheLine) {
+  // Each bad row sits on line 3 (after a comment and the header).
+  for (const char* row : {"0 1 nan", "0 1 inf", "0 1 -inf", "0 1 0",
+                          "0 1 -2", "0 1 2x", "0 7 1", "1 1", "0"}) {
+    std::stringstream in(std::string("# graph\n3\n") + row + "\n");
+    try {
+      read_edge_list(in);
+      ADD_FAILURE() << "accepted \"" << row << "\"";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Io, DotOutputContainsEdges) {
   const Graph g = make_complete(3);
   std::ostringstream os;
