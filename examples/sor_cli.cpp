@@ -130,6 +130,7 @@
 // offline optimum, and the competitive ratio; `engine run` prints the
 // per-epoch control-loop report instead.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -1148,6 +1149,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const sor::Graph& g = *loaded;
+  for (const sor::Commodity& c : demand.commodities()) {
+    if (std::max(c.src, c.dst) >= g.num_vertices()) {
+      std::cerr << "error: demand pair (" << c.src << "," << c.dst
+                << ") names a vertex outside the " << g.num_vertices()
+                << "-vertex graph\n";
+      return 2;
+    }
+  }
   std::cout << "graph: " << g.summary() << "\n";
   if (!g.is_connected()) {
     std::cerr << "error: graph is not connected\n";
