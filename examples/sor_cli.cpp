@@ -1099,9 +1099,7 @@ int slo_main(int argc, char** argv) {
   return report.status;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "engine") == 0) {
     return engine_main(argc, argv);
   }
@@ -1252,4 +1250,17 @@ int main(int argc, char** argv) {
   }
   if (!args.trace_out.empty() && !write_trace_out(args.trace_out)) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Backstop: a CheckError no subcommand caught (hostile input that
+  // slipped past the readers' own checks) is an input error, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const sor::CheckError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -1,5 +1,6 @@
 #include "demand/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -95,9 +96,20 @@ Demand gravity_demand(const Graph& g, std::span<const Vertex> endpoints,
                       double total) {
   SOR_CHECK(endpoints.size() >= 2);
   SOR_CHECK(total > 0);
-  std::vector<double> mass(endpoints.size());
+  // Capacities near the top of the double range would overflow the masses
+  // and their products. Scaling every capacity by one power of two is
+  // exact and cancels in w / weight_sum, so the demand is bit-identical to
+  // the unscaled one wherever that stays in range.
+  double max_cap = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    max_cap = std::max(max_cap, g.edge(e).capacity);
+  }
+  const double scale = max_cap > 0 ? std::ldexp(1.0, -std::ilogb(max_cap)) : 1;
+  std::vector<double> mass(endpoints.size(), 0.0);
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    mass[i] = g.incident_capacity(endpoints[i]);
+    for (const HalfEdge& h : g.neighbors(endpoints[i])) {
+      mass[i] += g.edge(h.id).capacity * scale;
+    }
   }
   double weight_sum = 0;
   for (std::size_t i = 0; i < endpoints.size(); ++i) {

@@ -1,5 +1,7 @@
 #include "demand/io.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -21,9 +23,16 @@ Demand read_demand(std::istream& is) {
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream row(line);
     Vertex s = 0, t = 0;
-    double amount = 0;
-    SOR_CHECK_MSG(static_cast<bool>(row >> s >> t >> amount),
+    std::string field;
+    SOR_CHECK_MSG(static_cast<bool>(row >> s >> t >> field),
                   "demand file line " << line_no << ": bad line: " << line);
+    // The whole field must be the number: "2x" is not an amount of 2.
+    char* end = nullptr;
+    const double amount = std::strtod(field.c_str(), &end);
+    SOR_CHECK_MSG(*end == '\0' && std::isfinite(amount) && amount >= 0,
+                  "demand file line " << line_no << ": bad line: amount must "
+                                         "be a finite nonnegative number, "
+                                         "got \"" << field << "\"");
     demand.add(s, t, amount);
   }
   return demand;

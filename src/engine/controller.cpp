@@ -175,35 +175,21 @@ EpochReport EpochController::step(std::span<const Event> events,
     const bool have_warm = options_.warm_start && installed_ != nullptr &&
                            installed_->num_pairs() > 0 &&
                            !warm_lengths_.empty();
-    RestrictedWarmStart warm;
-    if (have_warm) {
-      warm.fractions = remap_fractions(problem);
-      warm.lengths = warm_lengths_;
-    }
     if (options_.backend == EngineBackend::kMwu) {
       RestrictedMwuOptions mwu;
       mwu.epsilon = options_.epsilon;
-      if (have_warm) mwu.warm = &warm;
+      RestrictedWarmStart warm;
+      if (have_warm) {
+        warm.fractions = remap_fractions(problem);
+        warm.lengths = warm_lengths_;
+        mwu.warm = &warm;
+      }
       solution = solve_restricted_mwu(problem, mwu);
     } else {
-      // Exact backend: the dense simplex has no basis-input hook, so the
-      // warm start is the accept test alone — reuse the installed split
-      // if the warm lengths already certify it, else re-solve cold.
-      bool accepted = false;
-      if (have_warm) {
-        RestrictedSolution reused =
-            route_restricted_fractions(problem, warm.fractions);
-        const double lb = restricted_dual_bound(problem, warm.lengths);
-        if (lb > 0 && reused.congestion <= (1.0 + options_.epsilon) * lb) {
-          reused.lower_bound = lb;
-          reused.warm_accepted = true;
-          reused.dual_lengths = warm.lengths;
-          solution = std::move(reused);
-          accepted = true;
-          SOR_COUNTER("lp/warm_accepts").add();
-        }
-      }
-      if (!accepted) solution = solve_restricted_exact(problem);
+      // The dense simplex has no basis-input hook and exports no dual
+      // lengths, so warm_lengths_ stays empty: the exact backend re-solves
+      // cold every epoch.
+      solution = solve_restricted_exact(problem);
     }
     report.solve_ms = clock.milliseconds();
     // Latency sketches: the controller-local one feeds this epoch's

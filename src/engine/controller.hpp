@@ -48,8 +48,10 @@ enum class EngineBackend { kMwu, kExact };
 struct EngineOptions {
   EngineBackend backend = EngineBackend::kMwu;
   double epsilon = 0.05;
-  /// Warm-start each epoch's solve from the previous epoch's state. Off =
-  /// cold re-solve every epoch (the bench's comparison mode).
+  /// Warm-start each epoch's MWU solve from the previous epoch's state.
+  /// Off = cold re-solve every epoch (the bench's comparison mode). The
+  /// exact backend exports no dual lengths, so it re-solves cold every
+  /// epoch either way.
   bool warm_start = true;
   PredictorKind predictor = PredictorKind::kEwma;
   double ewma_alpha = 0.5;

@@ -4,11 +4,10 @@
 #include <cmath>
 #include <limits>
 
+#include "flow/fleischer.hpp"
 #include "lp/simplex.hpp"
-#include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace sor {
 
@@ -43,24 +42,64 @@ EdgeLoad load_from_weights(const Graph& g, const RestrictedProblem& problem,
   return load;
 }
 
-// The dual bound is scale-invariant in the lengths, so exported state can
-// be normalized to max = 1. Without this the control loop would compound
-// the MWU's multiplicative growth epoch over epoch (each solve feeds its
-// final lengths into the next) until they overflow to inf.
-void normalize_lengths(std::vector<double>& lengths) {
-  double max_len = 0;
-  for (double l : lengths) max_len = std::max(max_len, l);
-  if (max_len > 0 && std::isfinite(max_len)) {
-    for (double& l : lengths) l /= max_len;
-  }
-}
-
 bool all_finite(std::span<const double> values) {
   for (double v : values) {
     if (!std::isfinite(v)) return false;
   }
   return true;
 }
+
+double path_length(const Path& p, std::span<const double> lengths) {
+  double len = 0;
+  for (EdgeId e : p.edges) len += lengths[e];
+  return len;
+}
+
+/// Σ_j d_j·minlen_j in commodity order: any routing with congestion C
+/// satisfies it <= C · Σ_e c_e·l_e.
+double restricted_dual_numerator(const RestrictedProblem& problem,
+                                 std::span<const double> lengths) {
+  double numerator = 0;
+  for (const RestrictedCommodity& c : problem.commodities) {
+    double min_len = std::numeric_limits<double>::infinity();
+    for (const Path& p : c.candidates) {
+      min_len = std::min(min_len, path_length(p, lengths));
+    }
+    numerator += c.demand * min_len;
+  }
+  return numerator;
+}
+
+/// Routes over each commodity's candidate list: each step takes the
+/// cheapest candidate, the lowest index on ties.
+struct CandidateOracle {
+  const RestrictedProblem& problem;
+  std::vector<std::vector<double>>& weights;
+  std::size_t best_p = 0;
+
+  std::size_t size() const { return problem.commodities.size(); }
+  double amount(std::size_t j) const { return problem.commodities[j].demand; }
+  const Path& route(std::size_t j, std::span<const double> lengths) {
+    const auto& candidates = problem.commodities[j].candidates;
+    best_p = 0;
+    double best_len = std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < candidates.size(); ++p) {
+      const double len = path_length(candidates[p], lengths);
+      if (len < best_len) {
+        best_len = len;
+        best_p = p;
+      }
+    }
+    SOR_COUNTER("mwu/route_steps").add();
+    return candidates[best_p];
+  }
+
+  void record(std::size_t j, double send) { weights[j][best_p] += send; }
+
+  double dual_numerator(std::span<const double> lengths) const {
+    return restricted_dual_numerator(problem, lengths);
+  }
+};
 
 }  // namespace
 
@@ -69,22 +108,8 @@ double restricted_dual_bound(const RestrictedProblem& problem,
   SOR_CHECK(problem.graph != nullptr);
   const Graph& g = *problem.graph;
   SOR_CHECK(lengths.size() == g.num_edges());
-  double numerator = 0;
-  for (const RestrictedCommodity& c : problem.commodities) {
-    double min_len = std::numeric_limits<double>::infinity();
-    for (const Path& p : c.candidates) {
-      double len = 0;
-      for (EdgeId e : p.edges) len += lengths[e];
-      min_len = std::min(min_len, len);
-    }
-    numerator += c.demand * min_len;
-  }
-  double denominator = 0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    denominator += g.edge(e).capacity * std::max(lengths[e], 0.0);
-  }
-  if (denominator <= 0) return 0;
-  return numerator / denominator;
+  return fleischer_dual_bound(g, restricted_dual_numerator(problem, lengths),
+                              lengths);
 }
 
 RestrictedSolution route_restricted_fractions(
@@ -236,8 +261,7 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   }
   solution.load = zero_load(g);
 
-  const auto m = static_cast<double>(g.num_edges());
-  const double delta = std::pow(m / (1.0 - eps), -1.0 / eps);
+  const double delta = fleischer_delta(g.num_edges(), eps);
   std::vector<double> lengths(g.num_edges());
   const bool warm_lengths = options.warm != nullptr &&
                             !options.warm->lengths.empty() &&
@@ -299,129 +323,37 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
     }
   }
 
-  auto path_length = [&](const Path& p) {
-    double len = 0;
-    for (EdgeId e : p.edges) len += lengths[e];
-    return len;
-  };
-
   // Warm-vs-cold is the interesting axis for re-solve cost: the control
   // loop lives on warm solves being cheap, so the trace label and the
   // phase counters split on it.
-  telemetry::SolveObserver observer("mwu", warm_lengths ? "warm" : "cold");
-  double best_lower = 0;
-  bool truncated = false;
-  std::size_t phase = 0;
-  for (; phase < options.max_phases; ++phase) {
-    // Deadline poll at phase boundaries only, and only once at least one
-    // phase has completed: the scaled prefix of completed phases is a
-    // feasible routing, so truncating here always returns a usable split.
-    if (phase > 0 && telemetry::solve_deadline_exceeded()) {
-      truncated = true;
-      observer.mark_truncated();
-      break;
-    }
-    for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-      const auto& c = problem.commodities[j];
-      double remaining = c.demand;
-      while (remaining > 1e-12) {
-        // Cheapest candidate under current lengths.
-        std::size_t best_p = 0;
-        double best_len = std::numeric_limits<double>::infinity();
-        for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-          const double len = path_length(c.candidates[p]);
-          if (len < best_len) {
-            best_len = len;
-            best_p = p;
-          }
-        }
-        const Path& path = c.candidates[best_p];
-        double bottleneck = std::numeric_limits<double>::infinity();
-        for (EdgeId e : path.edges) {
-          bottleneck = std::min(bottleneck, g.edge(e).capacity);
-        }
-        const double send = std::min(remaining, bottleneck);
-        SOR_COUNTER("mwu/route_steps").add();
-        solution.weights[j][best_p] += send;
-        add_path_load(path, send, solution.load);
-        for (EdgeId e : path.edges) {
-          lengths[e] *= 1.0 + eps * send / g.edge(e).capacity;
-        }
-        remaining -= send;
-        if (path.edges.empty()) break;  // degenerate s==t guard
-      }
-    }
-
-    // Duality bound for the restricted problem: any routing with
-    // congestion C satisfies Σ_j d_j·minlen_j <= C · Σ_e c_e·l_e.
-    double numerator = 0;
-    for (const auto& c : problem.commodities) {
-      double min_len = std::numeric_limits<double>::infinity();
-      for (const Path& p : c.candidates) {
-        min_len = std::min(min_len, path_length(p));
-      }
-      numerator += c.demand * min_len;
-    }
-    double denominator = 0;
-    double max_len = 0;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      denominator += g.edge(e).capacity * lengths[e];
-      max_len = std::max(max_len, lengths[e]);
-    }
-    best_lower = std::max(best_lower, numerator / denominator);
-    // Long solves (thousands of phases) grow the lengths past the double
-    // range. Every lengths-dependent quantity here is scale-invariant
-    // (argmin path, the bound above), so renormalize before they
-    // overflow; the guard keeps short solves bit-identical.
-    if (max_len > 1e100) {
-      for (double& l : lengths) l /= max_len;
-    }
-
-    const double upper =
-        max_congestion(g, solution.load) / static_cast<double>(phase + 1);
-    // Per-phase primal/dual trajectory: `upper` is the feasible scaled
-    // congestion, `best_lower` the duality certificate; their ratio is
-    // the current approximation gap.
-    observer.observe(phase + 1, upper, best_lower);
-    if (upper <= 1e-12) {  // all candidates are empty paths
-      ++phase;
-      break;
-    }
-    if (best_lower > 0 && upper / best_lower <= 1.0 + eps) {
-      ++phase;
-      break;
-    }
-  }
-  SOR_CHECK(phase > 0);
-
-  const auto scale = 1.0 / static_cast<double>(phase);
+  CandidateOracle oracle{problem, solution.weights};
+  const FleischerRun run =
+      run_fleischer_phases(g, eps, options.max_phases, oracle, lengths,
+                           solution.load, "mwu", warm_lengths ? "warm" : "cold");
+  const auto scale = 1.0 / static_cast<double>(run.phases);
   for (auto& per_commodity : solution.weights) {
     for (double& w : per_commodity) w *= scale;
   }
   for (double& load : solution.load) load *= scale;
   solution.congestion = max_congestion(g, solution.load);
-  solution.lower_bound = best_lower;
-  solution.phases = phase;
-  solution.truncated = truncated;
+  solution.lower_bound = run.lower_bound;
+  solution.phases = run.phases;
+  solution.truncated = run.truncated;
+  // Exported lengths are normalized to max = 1. Without this the control
+  // loop would compound the MWU's multiplicative growth epoch over epoch
+  // (each solve feeds its final lengths into the next) until they overflow.
   normalize_lengths(lengths);
   solution.dual_lengths = std::move(lengths);
-  SOR_COUNTER("mwu/phases").add(phase);
+  SOR_COUNTER("mwu/phases").add(run.phases);
   // Two call sites, not a ternary name: SOR_COUNTER interns its name into
   // a function-local static on first execution.
   if (warm_lengths) {
-    SOR_COUNTER("mwu/phases_warm").add(phase);
+    SOR_COUNTER("mwu/phases_warm").add(run.phases);
   } else {
-    SOR_COUNTER("mwu/phases_cold").add(phase);
+    SOR_COUNTER("mwu/phases_cold").add(run.phases);
   }
-  if (best_lower > 0) {
-    SOR_GAUGE("mwu/duality_gap").set(solution.congestion / best_lower);
-  }
-  // A wide gap is only alarming when the solver *tried* to close it; a
-  // truncated solve stopped because the caller's budget said so.
-  if (!truncated && best_lower > 0 &&
-      solution.congestion / best_lower > 1.0 + eps) {
-    SOR_LOG(kWarn) << "restricted MWU stopped at gap "
-                   << solution.congestion / best_lower;
+  if (run.lower_bound > 0) {
+    SOR_GAUGE("mwu/duality_gap").set(solution.congestion / run.lower_bound);
   }
   return solution;
 }

@@ -156,6 +156,30 @@ TEST(Generators, GravityNormalizesTotal) {
   EXPECT_GT(d.support_size(), 40u);
 }
 
+TEST(Generators, GravityIsExactUnderPowerOfTwoCapacityScaling) {
+  // Capacities near the top of the double range once overflowed the
+  // masses into a NaN demand. Scaling every capacity by a power of two
+  // must leave the matrix bit-identical.
+  const WanTopology wan = make_abilene();
+  Graph big(wan.graph.num_vertices());
+  for (const Edge& e : wan.graph.edges()) {
+    big.add_edge(e.u, e.v, std::ldexp(e.capacity, 900));
+  }
+  const Demand base = gravity_demand(wan.graph, 100.0);
+  const Demand scaled = gravity_demand(big, 100.0);
+  ASSERT_EQ(scaled.support_size(), base.support_size());
+  for (const Commodity& c : base.commodities()) {
+    EXPECT_EQ(scaled.at(c.src, c.dst), c.amount);
+  }
+  Graph triangle(3);
+  for (Vertex v = 0; v < 3; ++v) triangle.add_edge(v, (v + 1) % 3, 1e308);
+  const Demand even = gravity_demand(triangle, 3.0);
+  EXPECT_EQ(even.support_size(), 3u);
+  for (const Commodity& c : even.commodities()) {
+    EXPECT_DOUBLE_EQ(c.amount, 1.0);
+  }
+}
+
 TEST(Generators, GravityOverEndpointsOnly) {
   const Graph g = make_fat_tree(4);
   const auto hosts = fat_tree_edge_switches(4);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "demand/generators.hpp"
+#include "flow/mcf.hpp"
 #include "graph/generators.hpp"
 #include "graph/search.hpp"
 #include "lp/path_lp.hpp"
@@ -226,6 +227,35 @@ TEST(RestrictedMwu, MatchesExactOnDiamond) {
   const RestrictedSolution s = solve_restricted_mwu(problem, options);
   EXPECT_NEAR(s.congestion, 0.5, 0.5 * 0.06);
   EXPECT_LE(s.lower_bound, 0.5 + 1e-9);
+}
+
+TEST(RestrictedMwu, AgreesWithMcfWhenEachPairHasOnePath) {
+  // On a tree each pair has exactly one simple path, so the restricted
+  // MWU over that path and the all-paths MCF take the same steps; only
+  // the summation order of their dual numerators differs.
+  Graph g(6);
+  g.add_edge(0, 1, 2.0);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(1, 3, 3.0);
+  g.add_edge(3, 4, 1.5);
+  g.add_edge(3, 5, 1.0);
+  const std::vector<Commodity> commodities = {
+      {0, 4, 1.0}, {2, 5, 0.7}, {5, 0, 1.3}, {4, 2, 0.4}};
+  RestrictedProblem problem;
+  problem.graph = &g;
+  const std::vector<double> unit(g.num_edges(), 1.0);
+  for (const Commodity& c : commodities) {
+    RestrictedCommodity rc;
+    rc.demand = c.amount;
+    rc.candidates.push_back(dijkstra(g, c.src, unit).extract_path(g, c.dst));
+    problem.commodities.push_back(std::move(rc));
+  }
+  const RestrictedSolution mwu = solve_restricted_mwu(problem);
+  const McfResult mcf = min_congestion_routing(g, commodities);
+  EXPECT_GT(mcf.phases, 1u);
+  EXPECT_EQ(mwu.phases, mcf.phases);
+  EXPECT_NEAR(mwu.congestion, mcf.congestion, 1e-12 * mcf.congestion);
+  EXPECT_NEAR(mwu.lower_bound, mcf.lower_bound, 1e-12 * mcf.lower_bound);
 }
 
 TEST(RestrictedMwu, CrossValidatesWithExactOnSampledSystems) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "core/router.hpp"
 #include "core/sampler.hpp"
@@ -158,6 +159,17 @@ TEST(DemandIo, SkipsCommentsRejectsGarbage) {
   EXPECT_EQ(d.support_size(), 2u);
   std::stringstream bad("1 2\n");
   EXPECT_THROW(read_demand(bad), CheckError);
+  // The amount field is read whole: "2x" is not an amount of 2.
+  for (const char* amount : {"2x", "nan", "inf", "-1"}) {
+    std::stringstream row(std::string("1 2 3\n4 5 ") + amount + "\n");
+    try {
+      read_demand(row);
+      ADD_FAILURE() << "accepted amount " << amount;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Generators, Ring) {
